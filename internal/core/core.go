@@ -984,16 +984,20 @@ func predictionPool(space *param.Space, rng *rand.Rand, sampler Sampler, poolCap
 	}
 	pool = sampler.Draw(space, rng, poolCap)
 	fresh = len(pool)
-	seen := make(map[int64]struct{}, len(pool))
+	// The draws that were already evaluated, found by probing the small
+	// evaluated map rather than building a pool-sized set of the draws.
+	drawn := make(map[int64]struct{})
 	for _, idx := range pool {
-		seen[idx] = struct{}{}
+		if _, ok := evaluated[idx]; ok {
+			drawn[idx] = struct{}{}
+		}
 	}
-	// Append the evaluated indices in sorted order: ranging over the map
-	// directly would make pool order — and therefore tie-breaking in the
+	// Append the other evaluated indices in sorted order: ranging over the
+	// map directly would make pool order — and therefore tie-breaking in the
 	// predicted front — vary across runs with an identical seed.
-	extra := make([]int64, 0, len(evaluated))
+	extra := make([]int64, 0, len(evaluated)-len(drawn))
 	for idx := range evaluated {
-		if _, dup := seen[idx]; !dup {
+		if _, dup := drawn[idx]; !dup {
 			extra = append(extra, idx)
 		}
 	}

@@ -65,7 +65,8 @@ func TestIncrementalMatchesLegacyPath(t *testing.T) {
 	// training matrix, fused flat-matrix prediction) must be byte-identical
 	// to the pre-optimization engine — same sample order, same fronts —
 	// on both the enumerable- and subsampled-pool paths, and for more than
-	// two objectives (which exercises frontKD instead of the 2-D sweep).
+	// two objectives (which exercises the k-objective filter instead of the
+	// 2-D sweep).
 	space := benchSpace(t)
 	threeObj := EvaluatorFunc(func(cfg param.Config) []float64 {
 		a, b, c := cfg[0], cfg[1], cfg[2]
@@ -529,6 +530,9 @@ func TestThinGuards(t *testing.T) {
 // every iteration, the regime the incremental exploration state targets.
 // The "legacy" sub-benchmark runs the retained pre-optimization reference
 // path, so one bench run shows the speedup and alloc reduction directly.
+// "incremental-3obj" adds a third, conflicting objective, so every
+// iteration filters the whole pool through the k-objective front filter
+// instead of the 2-D sweep.
 func BenchmarkALIteration(b *testing.B) {
 	space := param.MustSpace(
 		param.Grid("a", 0, 4, 80),
@@ -539,26 +543,33 @@ func BenchmarkALIteration(b *testing.B) {
 		a, bb := cfg[0], cfg[1]
 		return []float64{a + 0.5*bb + cfg[2], bb + 0.25*a}
 	})
+	eval3 := EvaluatorFunc(func(cfg param.Config) []float64 {
+		a, bb, c := cfg[0], cfg[1], cfg[2]
+		return []float64{a + 0.5*bb + c, bb + 0.25*a, 8 - a - bb + 0.5*(1-c)}
+	})
 	for _, mode := range []struct {
-		name   string
-		legacy bool
+		name       string
+		objectives int
+		eval       Evaluator
+		legacy     bool
 	}{
-		{"incremental", false},
-		{"legacy", true},
+		{"incremental", 2, eval, false},
+		{"legacy", 2, eval, true},
+		{"incremental-3obj", 3, eval3, false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var fit time.Duration
 			for i := 0; i < b.N; i++ {
 				opts := Options{
-					Objectives:    2,
+					Objectives:    mode.objectives,
 					RandomSamples: 100,
 					MaxIterations: 2,
 					MaxBatch:      30,
 					Seed:          int64(i + 1),
 				}
 				opts.legacyState = mode.legacy
-				res, err := Run(space, eval, opts)
+				res, err := Run(space, mode.eval, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,6 +13,7 @@ package device
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -38,11 +39,17 @@ func (w Work) Scale(f float64) Work {
 // Total returns the sum of all entries.
 func (w Work) Total() float64 {
 	t := 0.0
-	for _, v := range w {
-		t += v
+	for _, k := range w.kernels() {
+		t += w[k]
 	}
 	return t
 }
+
+// kernels returns w's kernel names in sorted order. Every sum over a Work
+// runs in this order: float addition is not associative, so summing in the
+// map's random iteration order would give one configuration's modeled
+// time different last bits from call to call.
+func (w Work) kernels() []string { return slices.Sorted(maps.Keys(w)) }
 
 // Model converts counted kernel work into modeled time and power.
 type Model struct {
@@ -73,12 +80,12 @@ func (m Model) SecondsPerFrame(w Work, frames float64) float64 {
 		return 0
 	}
 	ns := 0.0
-	for k, ops := range w {
+	for _, k := range w.kernels() {
 		c, ok := m.CoeffNs[k]
 		if !ok {
 			c = m.DefaultNs
 		}
-		ns += ops * c
+		ns += w[k] * c
 	}
 	return ns/1e9/frames + m.FrameOverheadMs/1e3
 }
@@ -91,12 +98,12 @@ func (m Model) AveragePowerW(w Work, frames float64) float64 {
 		return m.PowerStaticW
 	}
 	nj := 0.0
-	for k, ops := range w {
+	for _, k := range w.kernels() {
 		e, ok := m.EnergyNJ[k]
 		if !ok {
 			e = m.DefaultNJ
 		}
-		nj += ops * e
+		nj += w[k] * e
 	}
 	joulesPerFrame := nj / 1e9 / frames
 	return m.PowerStaticW + joulesPerFrame/secPerFrame

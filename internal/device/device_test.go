@@ -57,6 +57,33 @@ func TestAveragePower(t *testing.T) {
 	}
 }
 
+// TestWorkSumsAreDeterministic calls every summing function repeatedly on a
+// many-kernel Work whose entries span several magnitudes, so any change of
+// summation order shows in the last bits.
+func TestWorkSumsAreDeterministic(t *testing.T) {
+	w := Work{}
+	for i, k := range []string{
+		KernelResize, KernelBilateral, KernelPyramid, KernelTrack, KernelIntegrate,
+		KernelRaycast, KernelPreprocess, KernelSO3, KernelICP, KernelRGB,
+		KernelRender, KernelFuse, KernelLoop, KernelFern, "unpriced",
+	} {
+		w[k] = math.Pi * math.Pow(7.3, float64(i)) / 3
+	}
+	m := ODROIDXU3()
+	total, spf, power := w.Total(), m.SecondsPerFrame(w, 30), m.AveragePowerW(w, 30)
+	for i := 0; i < 200; i++ {
+		if got := w.Total(); math.Float64bits(got) != math.Float64bits(total) {
+			t.Fatalf("call %d: Total = %v, first call %v", i, got, total)
+		}
+		if got := m.SecondsPerFrame(w, 30); math.Float64bits(got) != math.Float64bits(spf) {
+			t.Fatalf("call %d: SecondsPerFrame = %v, first call %v", i, got, spf)
+		}
+		if got := m.AveragePowerW(w, 30); math.Float64bits(got) != math.Float64bits(power) {
+			t.Fatalf("call %d: AveragePowerW = %v, first call %v", i, got, power)
+		}
+	}
+}
+
 func TestPlatformsWellFormed(t *testing.T) {
 	for _, p := range Platforms() {
 		if p.Name == "" || p.Class == "" {

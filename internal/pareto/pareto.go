@@ -38,12 +38,16 @@ func Dominates(a, b []float64) bool {
 }
 
 // Front returns the non-dominated subset of points. Duplicate objective
-// vectors are kept once (the first occurrence by ID order wins). The result
-// is sorted by the first objective, then the second, for deterministic
-// output.
+// vectors are kept once (the first occurrence in input order wins; for 2
+// objectives, the lowest ID). The result is sorted by the objectives in
+// order, then by ID, for deterministic output.
 //
-// A 2-objective fast path runs in O(n log n); the general k-objective path
-// is the O(n²) pairwise filter, fine for the set sizes HyperMapper produces.
+// A 2-objective fast path runs in O(n log n). With 3 or more objectives a
+// running-front filter keeps a window of the points no earlier point
+// covers, which costs O(n·w) for a front of w points and allocates nothing
+// of the input's size. An input with a NaN coordinate falls back to the
+// O(n²) pairwise filter, because NaN makes dominance non-transitive and
+// the window relies on transitivity.
 func Front(points []Point) []Point {
 	if len(points) == 0 {
 		return nil
@@ -51,7 +55,7 @@ func Front(points []Point) []Point {
 	if len(points[0].Objs) == 2 {
 		return front2D(points)
 	}
-	return frontKD(points)
+	return frontK(points)
 }
 
 // FrontInPlace is Front, but it may reorder points instead of copying them.
@@ -65,7 +69,7 @@ func FrontInPlace(points []Point) []Point {
 	if len(points[0].Objs) == 2 {
 		return front2DInPlace(points)
 	}
-	return frontKD(points)
+	return frontK(points)
 }
 
 func front2D(points []Point) []Point {
@@ -100,6 +104,80 @@ func front2DInPlace(sorted []Point) []Point {
 	return out
 }
 
+// frontK filters a front of 3 or more objectives, leaving its input
+// untouched: the running-front window when every coordinate is a number,
+// the pairwise frontKD otherwise.
+func frontK(points []Point) []Point {
+	for _, p := range points {
+		for _, v := range p.Objs {
+			if math.IsNaN(v) {
+				return frontKD(points)
+			}
+		}
+	}
+	return frontWindow(points)
+}
+
+// frontWindow is a block-nested-loop filter in the Kung–Luccio–Preparata
+// family. It walks the points in input order and keeps a window of the
+// points that no point seen so far dominates or equals: a point covered by
+// a window member (≤ in every objective) is dropped; otherwise it evicts
+// the members it strictly dominates and joins the window. Dominance is
+// transitive on NaN-free vectors, so the window covers every processed
+// point, and it is exactly frontKD's output, including its "first in input
+// order wins" duplicate rule. The window is an antichain, so a point that
+// some member covers dominates no member: the scan that finds the cover has
+// evicted nothing yet.
+//
+// A member that covers a point moves to the front of the window. Which
+// member is found first does not change the output, and on a prediction
+// pool, where neighbouring points tend to fall to the same member, it cuts
+// the scans of dropped points several times over.
+func frontWindow(points []Point) []Point {
+	var win []Point
+next:
+	for _, p := range points {
+		kept := 0
+		for j, w := range win {
+			wCovers, pCovers := covers(w.Objs, p.Objs)
+			if wCovers {
+				copy(win[1:j+1], win[:j])
+				win[0] = w
+				continue next
+			}
+			if !pCovers {
+				win[kept] = w
+				kept++
+			}
+		}
+		win = append(win[:kept], p)
+	}
+	sortFront(win)
+	return win
+}
+
+// covers reports whether a ≤ b and whether b ≤ a in every objective. When
+// exactly one holds, that vector strictly dominates the other.
+func covers(a, b []float64) (aCovers, bCovers bool) {
+	aCovers, bCovers = true, true
+	for i, av := range a {
+		bv := b[i]
+		if av > bv {
+			aCovers = false
+		} else if av < bv {
+			bCovers = false
+		}
+		if !aCovers && !bCovers {
+			break
+		}
+	}
+	return aCovers, bCovers
+}
+
+// frontKD is the pairwise O(n²) filter: a point survives when no other
+// point dominates it and no earlier point equals it. It is the fallback
+// for inputs holding NaN, where the window's transitivity argument fails,
+// and the reference the window is tested against.
 func frontKD(points []Point) []Point {
 	var out []Point
 	for i, p := range points {
@@ -122,7 +200,14 @@ func frontKD(points []Point) []Point {
 			out = append(out, p)
 		}
 	}
-	slices.SortFunc(out, func(a, b Point) int {
+	sortFront(out)
+	return out
+}
+
+// sortFront orders a front by its objectives, then ID. A NaN-free front
+// holds no two equal objective vectors, so there the order is total.
+func sortFront(front []Point) {
+	slices.SortFunc(front, func(a, b Point) int {
 		for k := range a.Objs {
 			if a.Objs[k] != b.Objs[k] {
 				return cmp.Compare(a.Objs[k], b.Objs[k])
@@ -130,7 +215,6 @@ func frontKD(points []Point) []Point {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	return out
 }
 
 func equalObjs(a, b []float64) bool {

@@ -1,6 +1,7 @@
 package pareto
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,6 +204,79 @@ func TestFront2DMatchesKD(t *testing.T) {
 	}
 }
 
+// sameFront reports whether two fronts hold the same IDs and the same
+// objective bytes in the same order (so -0 and +0 differ).
+func sameFront(a, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || len(a[i].Objs) != len(b[i].Objs) {
+			return false
+		}
+		for k, v := range a[i].Objs {
+			if math.Float64bits(v) != math.Float64bits(b[i].Objs[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestFrontWindowMatchesKD checks the running-front filter against the
+// pairwise reference on inputs built to break a wrong duplicate rule:
+// objectives drawn from small level grids make ties and equal vectors
+// common, IDs repeat, and some coordinates are ±Inf, -0 or +0.
+func TestFrontWindowMatchesKD(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	specials := []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0}
+	for trial := 0; trial < 600; trial++ {
+		k := 3 + rng.Intn(3)
+		n := 1 + rng.Intn(300)
+		levels := 2 + rng.Intn(5)
+		points := make([]Point, n)
+		for i := range points {
+			objs := make([]float64, k)
+			for j := range objs {
+				if rng.Intn(16) == 0 {
+					objs[j] = specials[rng.Intn(len(specials))]
+				} else {
+					objs[j] = float64(rng.Intn(levels)) - 1
+				}
+			}
+			points[i] = Point{ID: int64(rng.Intn(n)), Objs: objs}
+		}
+		want := frontKD(points)
+		if got := Front(points); !sameFront(got, want) {
+			t.Fatalf("trial %d (k=%d n=%d): Front = %v, frontKD = %v", trial, k, n, got, want)
+		}
+		if got := FrontInPlace(append([]Point(nil), points...)); !sameFront(got, want) {
+			t.Fatalf("trial %d (k=%d n=%d): FrontInPlace = %v, frontKD = %v", trial, k, n, got, want)
+		}
+	}
+}
+
+// TestFrontNaNFallsBackToPairwise pins the output on an input where NaN
+// breaks transitivity. A NaN coordinate compares neither way, so x
+// dominates y and y dominates z while x and z are incomparable: the
+// pairwise rule drops both y and z, but a running window that dropped y
+// against x would never see z evicted.
+func TestFrontNaNFallsBackToPairwise(t *testing.T) {
+	points := []Point{
+		pt(0, 0, 0, 5),          // x
+		pt(1, 1, 1, math.NaN()), // y: dominated by x
+		pt(2, 2, 2, 0),          // z: dominated by y only
+	}
+	for _, got := range [][]Point{Front(points), FrontInPlace(append([]Point(nil), points...))} {
+		if !sameFront(got, []Point{pt(0, 0, 0, 5)}) {
+			t.Fatalf("front = %v, want only point 0", got)
+		}
+	}
+	if got := frontWindow(points); len(got) != 2 {
+		t.Fatalf("frontWindow = %v: the input no longer shows why NaN needs the fallback", got)
+	}
+}
+
 func TestMerge(t *testing.T) {
 	a := []Point{pt(0, 1, 5), pt(1, 5, 1)}
 	b := []Point{pt(2, 0.5, 6), pt(3, 3, 3)}
@@ -320,14 +394,21 @@ func BenchmarkFront2D(b *testing.B) {
 	}
 }
 
+// BenchmarkFront3D filters uniform 3-objective inputs: a measured-sample
+// sized set and one at the default 200 000-point PoolCap, the size the
+// active-learning loop filters every iteration.
 func BenchmarkFront3D(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	points := make([]Point, 500)
-	for i := range points {
-		points[i] = pt(int64(i), rng.Float64(), rng.Float64(), rng.Float64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Front(points)
+	for _, n := range []int{500, 200000} {
+		rng := rand.New(rand.NewSource(1))
+		points := make([]Point, n)
+		for i := range points {
+			points[i] = pt(int64(i), rng.Float64(), rng.Float64(), rng.Float64())
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Front(points)
+			}
+		})
 	}
 }
